@@ -114,43 +114,8 @@ std::shared_ptr<const ServingSnapshot> EyeballService::publish() {
     std::sort(changed.begin(), changed.end());
     changed.erase(std::unique(changed.begin(), changed.end()), changed.end());
   }
-  // The previous epoch stays pinned by this local shared_ptr, so handing
-  // its analyses span to refresh_analyses is safe even though readers may
-  // concurrently drop their own references.  An artifact-backed previous
-  // epoch has no in-memory analyses span to reuse — treat it as no
-  // previous epoch (full re-analysis); the published result is identical
-  // either way.
-  const std::shared_ptr<const ServingSnapshot> previous = current_.load();
-
-  // ---- Exception firewall.  finalize/analysis may throw (bad_alloc, a
-  // bug surfacing as a logic_error); on a long-lived server that must
-  // become a typed value, not an unwound writer thread.  The builder holds
-  // no invariant across the publish boundary that a throw can break:
-  // finalize() is non-destructive (touched-set clearing is repaired by the
-  // carry-over below), so the service keeps ingesting and the previous
-  // epoch keeps serving.
-  std::shared_ptr<const ServingSnapshot> next;
-  try {
-    next = publish_from(changed,
-                        (previous == nullptr || previous->artifact_backed())
-                            ? std::span<const core::AsAnalysis>{}
-                            : previous->analyses());
-    last_publish_status_ = util::Status{};
-  } catch (const std::exception& e) {
-    last_publish_status_ = util::Status::internal(
-        std::string{"publish firewall: "} + e.what());
-  }
-  // eyeball-lint: allow(swallowed-exception): the publish firewall — a non-std exception crossing here must still become a typed Status instead of unwinding the writer, and there is no type info to preserve
-  catch (...) {
-    last_publish_status_ =
-        util::Status::internal("publish firewall: non-std exception");
-  }
-  if (next == nullptr) {
-    carryover_changed_ = std::move(changed);
-    health_.transition(ServiceHealth::kReadOnly, last_publish_status_);
-    return nullptr;
-  }
-  carryover_changed_.clear();
+  const std::shared_ptr<const ServingSnapshot> next = publish_firewalled(std::move(changed));
+  if (next == nullptr) return nullptr;
 
   // ---- Supervised durability: retry transient failures with exponential
   // backoff; surface (never throw) the final verdicts.  A failed save must
@@ -195,13 +160,13 @@ util::Status EyeballService::restore(const std::string& dir,
     return status;
   }
   // The restored touched-set is relative to the snapshot's own history, not
-  // to whatever this service last published — republish from scratch (an
-  // empty `previous` makes refresh_analyses re-analyze every AS).  A stale
-  // carry-over list from before the restore is superseded for the same
-  // reason.
+  // to whatever this service last published — republish from scratch.  The
+  // flag outlives a firewall trip here, so the next publish() re-analyzes
+  // every AS too.  A stale carry-over list from before the restore is
+  // superseded for the same reason.
   carryover_changed_.clear();
-  (void)publish_from({}, {});
-  last_publish_status_ = util::Status{};
+  reanalyze_all_ = true;
+  if (publish_firewalled({}) == nullptr) return last_publish_status_;
   health_.transition(ServiceHealth::kHealthy, util::Status{});
   return util::Status{};
 }
@@ -237,17 +202,52 @@ util::Status EyeballService::restore_from_artifact(const std::string& path) {
   return util::Status{};
 }
 
-std::shared_ptr<const ServingSnapshot> EyeballService::publish_from(
-    std::vector<net::Asn> changed, std::span<const core::AsAnalysis> previous) {
-  core::TargetDataset dataset = builder_.finalize(config_.threads);
-  // After finalize, before analysis: the window where a throw strands the
-  // already-cleared touched set — exactly what the carry-over must rescue.
-  if (config_.publish_fault_hook) config_.publish_fault_hook();
-  std::vector<core::AsAnalysis> analyses =
-      pipeline_.refresh_analyses(dataset, previous, changed);
-  const std::uint64_t epoch = this->epoch() + 1;
-  auto next = std::make_shared<const ServingSnapshot>(epoch, std::move(dataset),
-                                                      std::move(analyses));
+std::shared_ptr<const ServingSnapshot> EyeballService::publish_firewalled(
+    std::vector<net::Asn> changed) {
+  // The previous epoch stays pinned by this local shared_ptr, so handing
+  // its analyses span to refresh_analyses is safe even though readers may
+  // concurrently drop their own references.  An artifact-backed previous
+  // epoch has no in-memory analyses span to reuse — treat it as no
+  // previous epoch (full re-analysis); the published result is identical
+  // either way.
+  const std::shared_ptr<const ServingSnapshot> previous = current_.load();
+  const bool reuse = !reanalyze_all_ && previous != nullptr && !previous->artifact_backed();
+
+  // ---- Exception firewall.  finalize/analysis may throw (bad_alloc, a
+  // bug surfacing as a logic_error); on a long-lived server that must
+  // become a typed value, not an unwound writer thread.  The builder holds
+  // no invariant across the publish boundary that a throw can break:
+  // finalize() is non-destructive (touched-set clearing is repaired by the
+  // carry-over below), so the service keeps ingesting and the previous
+  // epoch keeps serving.
+  std::shared_ptr<const ServingSnapshot> next;
+  try {
+    core::TargetDataset dataset = builder_.finalize(config_.threads);
+    // After finalize, before analysis: the window where a throw strands the
+    // already-cleared touched set — exactly what the carry-over must rescue.
+    if (config_.publish_fault_hook) config_.publish_fault_hook();
+    std::vector<core::AsAnalysis> analyses = pipeline_.refresh_analyses(
+        dataset, reuse ? previous->analyses() : std::span<const core::AsAnalysis>{},
+        changed);
+    next = std::make_shared<const ServingSnapshot>(this->epoch() + 1, std::move(dataset),
+                                                   std::move(analyses));
+    last_publish_status_ = util::Status{};
+  } catch (const std::exception& e) {
+    last_publish_status_ = util::Status::internal(
+        std::string{"publish firewall: "} + e.what());
+  }
+  // eyeball-lint: allow(swallowed-exception): the publish firewall — a non-std exception crossing here must still become a typed Status instead of unwinding the writer, and there is no type info to preserve
+  catch (...) {
+    last_publish_status_ =
+        util::Status::internal("publish firewall: non-std exception");
+  }
+  if (next == nullptr) {
+    carryover_changed_ = std::move(changed);
+    health_.transition(ServiceHealth::kReadOnly, last_publish_status_);
+    return nullptr;
+  }
+  carryover_changed_.clear();
+  reanalyze_all_ = false;
   // The store is the publication point: the snapshot is fully constructed
   // and never mutated again, so readers that load the pointer see a
   // complete epoch or the previous one — never a mix.

@@ -46,7 +46,8 @@
 //     converted into a typed kInternal Status instead of unwinding into the
 //     caller; the previous epoch keeps serving and the captured changed-ASN
 //     work list carries over so the NEXT publish re-analyzes everything the
-//     failed one would have.
+//     failed one would have.  restore() publishes through the same
+//     firewall; a trip there makes the next publish re-analyze every AS.
 //   - The service reports a three-state health summary (health()):
 //     Healthy, DegradedDurability (serving + publishing fine, persistence
 //     failing), ReadOnly (the last publish itself failed).
@@ -76,8 +77,9 @@
 namespace eyeball::serve {
 
 struct ServiceConfig {
-  /// Concurrency for finalize() and the analysis refresh on the writer
-  /// path; 0 = one chunk per hardware thread.
+  /// Concurrency for finalize() on the writer path; 0 = one chunk per
+  /// hardware thread.  The analysis refresh runs at the pipeline's own
+  /// PipelineConfig::threads.
   std::size_t threads = 0;
   /// When non-empty, publish() persists the builder state to this directory
   /// after each epoch swing (crash-safe generations; see last_save_status()).
@@ -345,8 +347,13 @@ class EyeballService {
 
   /// Replaces the builder state with the newest loadable generation in
   /// `dir` (see StreamingDatasetBuilder::restore_snapshot) and publishes a
-  /// fresh epoch analyzed from scratch.  On failure the service is
-  /// untouched — the current epoch keeps serving.
+  /// fresh epoch analyzed from scratch.  When no generation loads, the
+  /// service is untouched — the current epoch keeps serving.  The publish
+  /// runs behind the same exception firewall as publish(): if it trips, the
+  /// builder already holds the restored state, the typed kInternal failure
+  /// is returned (and kept in last_publish_status()), health() reports
+  /// ReadOnly, the current epoch keeps serving, and the next successful
+  /// publish() re-analyzes every AS.
   [[nodiscard]] util::Status restore(const std::string& dir,
                                      core::SnapshotRestoreInfo* info = nullptr);
 
@@ -437,8 +444,12 @@ class EyeballService {
   [[nodiscard]] HealthReport health() const { return health_.report(); }
 
  private:
-  std::shared_ptr<const ServingSnapshot> publish_from(
-      std::vector<net::Asn> changed, std::span<const core::AsAnalysis> previous)
+  /// The one publish step behind publish() and restore(): finalize,
+  /// refresh the analyses of `changed` (or of every AS), swap the epoch —
+  /// all inside the exception firewall.  On a throw it records the typed
+  /// kInternal failure, moves health to ReadOnly, carries `changed` over,
+  /// and returns nullptr with the previous epoch still serving.
+  std::shared_ptr<const ServingSnapshot> publish_firewalled(std::vector<net::Asn> changed)
       EYEBALL_REQUIRES(writer_serial_);
 
   /// The configured filesystem/clock seams, defaulted to the real ones.
@@ -472,6 +483,11 @@ class EyeballService {
   /// re-analyzing the ASes the failed publish was about to cover.  Merged
   /// into the next publish's work list, cleared on success.
   std::vector<net::Asn> carryover_changed_ EYEBALL_GUARDED_BY(writer_serial_);
+  /// Set by restore(): the restored touched set is relative to the
+  /// snapshot's history, not to the serving epoch, so no previous analysis
+  /// may be reused.  Cleared by the next successful publish — which is the
+  /// restore's own unless the firewall trips there.
+  bool reanalyze_all_ EYEBALL_GUARDED_BY(writer_serial_) = false;
   /// The published epoch; see SnapshotCell for why this is not
   /// std::atomic<std::shared_ptr>.  Internally synchronized — safe from
   /// both paths, so deliberately NOT guarded by writer_serial_.
