@@ -5,16 +5,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <new>
 #include <numeric>
 #include <utility>
 
+#include "core/byte_codec.hpp"
 #include "util/check.hpp"
 #include "util/crc32c.hpp"
-
-#if defined(EYEBALL_HAS_ZSTD)
-#include <zstd.h>
-#endif
 
 // EYBART1 encoder / validator / in-place reader.  The format contract
 // (layout, relocation rules, validation order) lives in artifact.hpp; this
@@ -24,6 +20,8 @@
 namespace eyeball::core {
 
 namespace {
+
+using namespace codec;  // the shared little-endian layer (core/byte_codec.hpp)
 
 // In-place f64 arena reads reinterpret mapped little-endian IEEE-754 bytes;
 // everything else is decoded byte-by-byte (endian-portable).  The
@@ -53,8 +51,6 @@ constexpr std::size_t kPartitionRecordSize = 80;
 constexpr std::size_t kSegmentRecordSize = 32;
 constexpr std::size_t kPeakRecordSize = 40;
 constexpr std::size_t kPopRecordSize = 40;
-constexpr std::size_t kStatsFixedSize = 88;  // 10 counters + window count
-constexpr std::size_t kWindowRecordSize = 40;
 
 /// Section ids, in the exact file order the table must carry.
 enum SectionId : std::uint32_t {
@@ -72,176 +68,35 @@ enum SectionId : std::uint32_t {
 };
 constexpr std::size_t kSectionCount = 11;
 
+// Section encodings the table can name.  This build writes and reads raw
+// sections only; encoding 1 (zstd) is a well-formed format this build
+// cannot read, refused as kVersionMismatch after the payload CRCs.
 constexpr std::uint32_t kEncodingRaw = 0;
 constexpr std::uint32_t kEncodingZstd = 1;
-
-// Hard ceiling on a zstd section's declared expansion: one compressed block
-// can emit at most 128 KiB from a ~4-byte RLE header, so 32768x is past the
-// format's physical maximum and a table claiming more is provably corrupt.
-constexpr std::uint64_t kMaxZstdExpansion = 32768;
-
-[[nodiscard]] constexpr std::size_t align8(std::size_t n) noexcept {
-  return (n + 7U) & ~std::size_t{7};
-}
-
-// ---- little-endian writers (canonical bytes, host-independent) -----------
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<std::byte>((v >> shift) & 0xffU));
-  }
-}
-
-void put_f64(std::vector<std::byte>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_u32_at(std::span<std::byte> out, std::size_t at, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out[at + static_cast<std::size_t>(i)] =
-        static_cast<std::byte>((v >> (8 * i)) & 0xffU);
-  }
-}
-
-void pad8(std::vector<std::byte>& out) {
-  while ((out.size() & 7U) != 0) out.push_back(std::byte{0});
-}
-
-// ---- little-endian readers (callers guarantee bounds) --------------------
-
-[[nodiscard]] std::uint32_t load_u32(std::span<const std::byte> bytes,
-                                     std::size_t at) noexcept {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(bytes[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] std::uint64_t load_u64(std::span<const std::byte> bytes,
-                                     std::size_t at) noexcept {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[at + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  return v;
-}
-
-[[nodiscard]] double load_f64(std::span<const std::byte> bytes,
-                              std::size_t at) noexcept {
-  return std::bit_cast<double>(load_u64(bytes, at));
-}
-
-// ---- grid geometry (mirror of DensityGrid's constructor math) ------------
-
-/// Re-derives the row/col counts DensityGrid computes from (box, cell_km).
-/// The artifact stores the POST-coarsening cell size, so one evaluation of
-/// the formula (no budget loop) must reproduce the stored counts exactly —
-/// any drift between this and kde/grid.cpp fails the differential test.
-/// Returns false when the inputs cannot have come from a real grid.
-[[nodiscard]] bool derive_grid_shape(double min_lat, double max_lat, double min_lon,
-                                     double max_lon, double cell_km,
-                                     std::uint64_t& rows,
-                                     std::uint64_t& cols) noexcept {
-  if (!(cell_km > 0.0) || !std::isfinite(cell_km)) return false;
-  const double mid_lat = (min_lat + max_lat) / 2.0;
-  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
-  const double dlat_deg = cell_km / geo::kKmPerDegreeLat;
-  const double dlon_deg = cell_km / lon_scale;
-  const double want_rows = std::max(1.0, std::ceil((max_lat - min_lat) / dlat_deg));
-  const double want_cols = std::max(1.0, std::ceil((max_lon - min_lon) / dlon_deg));
-  // 2^31 caps each axis so rows*cols cannot overflow u64 downstream; a real
-  // grid is orders of magnitude below this (DensityGrid's cell budget).
-  constexpr double kAxisCap = 2147483648.0;
-  if (!(want_rows >= 1.0) || !(want_cols >= 1.0)) return false;
-  if (want_rows >= kAxisCap || want_cols >= kAxisCap) return false;
-  rows = static_cast<std::uint64_t>(want_rows);
-  cols = static_cast<std::uint64_t>(want_cols);
-  return true;
-}
 
 [[nodiscard]] util::Status corruption_at(const char* what) {
   return util::Status::corruption(std::string{"artifact: "} + what);
 }
 
-#if defined(EYEBALL_HAS_ZSTD)
-[[nodiscard]] util::Status zstd_compress(std::span<const std::byte> raw,
-                                         std::vector<std::byte>& out) {
-  const std::size_t bound = ZSTD_compressBound(raw.size());
-  out.assign(bound, std::byte{0});
-  // Level 3: the zstd default; cold-section reads decompress once at open,
-  // so the write-side ratio/speed tradeoff is not hot either way.
-  const std::size_t got = ZSTD_compress(out.data(), bound, raw.data(), raw.size(), 3);
-  if (ZSTD_isError(got) != 0U) {
-    return util::Status::io_error(std::string{"artifact: zstd compress: "} +
-                                  ZSTD_getErrorName(got));
-  }
-  out.resize(got);
-  return util::Status{};
-}
-#endif
-
 }  // namespace
 
 // ---- encoder --------------------------------------------------------------
-
-bool ArtifactCodec::zstd_supported() noexcept {
-#if defined(EYEBALL_HAS_ZSTD)
-  return true;
-#else
-  return false;
-#endif
-}
 
 util::Status ArtifactCodec::encode(const TargetDataset& dataset,
                                    std::span<const AsAnalysis> analyses,
                                    std::uint64_t epoch,
                                    std::uint64_t config_fingerprint,
-                                   std::vector<std::byte>& out,
-                                   const EncodeOptions& options) {
+                                   std::vector<std::byte>& out) {
   const std::span<const AsPeerSet> ases = dataset.ases();
   if (analyses.size() != ases.size()) {
     return util::Status::invalid_argument(
         "artifact: analyses must be parallel to the dataset's ASes");
   }
-  if (options.compress_cold && !zstd_supported()) {
-    return util::Status::invalid_argument(
-        "artifact: compress_cold requested but this binary was built without zstd");
-  }
   const std::size_t n = ases.size();
 
   // -- stats section --------------------------------------------------------
   std::vector<std::byte> stats_pay;
-  {
-    const DatasetStats& s = dataset.stats();
-    stats_pay.reserve(kStatsFixedSize + s.windows.size() * kWindowRecordSize);
-    put_u64(stats_pay, s.raw_samples);
-    put_u64(stats_pay, s.missing_geo);
-    put_u64(stats_pay, s.high_error);
-    put_u64(stats_pay, s.unmapped_as);
-    put_u64(stats_pay, s.peers_in_small_ases);
-    put_u64(stats_pay, s.ases_below_min_peers);
-    put_u64(stats_pay, s.ases_above_p90_error);
-    put_u64(stats_pay, s.final_peers);
-    put_u64(stats_pay, s.final_ases);
-    put_u64(stats_pay, s.rejected_samples);
-    put_u64(stats_pay, s.windows.size());
-    for (const WindowStats& w : s.windows) {
-      put_u64(stats_pay, w.offered);
-      put_u64(stats_pay, w.duplicates);
-      put_u64(stats_pay, w.admitted);
-      put_u64(stats_pay, w.cumulative_unique);
-      put_u64(stats_pay, w.rejected);
-    }
-  }
+  put_dataset_stats(stats_pay, dataset.stats());
 
   // -- ASN order (TargetDataset::find's index, persisted) -------------------
   std::vector<std::uint32_t> order(n);
@@ -399,41 +254,10 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   }
   pad8(regions_pay);
 
-  // -- optional cold-section compression ------------------------------------
-  struct SectionPlan {
-    std::uint32_t id;
-    std::uint32_t encoding;
-    const std::vector<std::byte>* stored;
-    std::uint64_t raw_size;
-  };
-  std::vector<std::byte> peers_stored;
-  std::uint32_t peers_encoding = kEncodingRaw;
-  std::uint64_t peers_raw_size = peers_pay.size();
-  const std::vector<std::byte>* peers_section = &peers_pay;
-#if defined(EYEBALL_HAS_ZSTD)
-  if (options.compress_cold && !peers_pay.empty()) {
-    if (util::Status status = zstd_compress(peers_pay, peers_stored); !status.ok()) {
-      return status;
-    }
-    peers_encoding = kEncodingZstd;
-    peers_section = &peers_stored;
-  }
-#else
-  static_cast<void>(peers_stored);  // unreferenced without zstd
-#endif
-
-  const SectionPlan plan[kSectionCount] = {
-      {kSecStats, kEncodingRaw, &stats_pay, stats_pay.size()},
-      {kSecAsIndex, kEncodingRaw, &index_pay, index_pay.size()},
-      {kSecAsnOrder, kEncodingRaw, &order_pay, order_pay.size()},
-      {kSecPeers, peers_encoding, peers_section, peers_raw_size},
-      {kSecGridRuns, kEncodingRaw, &runs_pay, runs_pay.size()},
-      {kSecGridValues, kEncodingRaw, &grid_pay, grid_pay.size()},
-      {kSecPartitions, kEncodingRaw, &parts_pay, parts_pay.size()},
-      {kSecBoundary, kEncodingRaw, &bound_pay, bound_pay.size()},
-      {kSecPeaks, kEncodingRaw, &peaks_pay, peaks_pay.size()},
-      {kSecPops, kEncodingRaw, &pops_pay, pops_pay.size()},
-      {kSecRegions, kEncodingRaw, &regions_pay, regions_pay.size()},
+  // Section payloads in table order: plan[s] is section id s + 1.
+  const std::vector<std::byte>* const plan[kSectionCount] = {
+      &stats_pay, &index_pay, &order_pay, &peers_pay, &runs_pay,    &grid_pay,
+      &parts_pay, &bound_pay, &peaks_pay, &pops_pay,  &regions_pay,
   };
 
   // -- assembly: header + table + packed sections + tail --------------------
@@ -443,7 +267,7 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     cursor = align8(cursor);
     offsets[s] = cursor;
-    cursor += plan[s].stored->size();
+    cursor += plan[s]->size();
   }
   const std::size_t file_size = align8(cursor) + kTailSize;
 
@@ -461,12 +285,12 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
   EYEBALL_DCHECK(buffer.size() == kHeaderSize, "artifact header layout drifted");
 
   for (std::size_t s = 0; s < kSectionCount; ++s) {
-    put_u32(buffer, plan[s].id);
-    put_u32(buffer, plan[s].encoding);
+    put_u32(buffer, static_cast<std::uint32_t>(s + 1));  // section id
+    put_u32(buffer, kEncodingRaw);
     put_u64(buffer, offsets[s]);
-    put_u64(buffer, plan[s].stored->size());
-    put_u64(buffer, plan[s].raw_size);
-    put_u32(buffer, util::crc32c_fast(*plan[s].stored));
+    put_u64(buffer, plan[s]->size());  // stored size
+    put_u64(buffer, plan[s]->size());  // raw size
+    put_u32(buffer, util::crc32c_fast(*plan[s]));
     put_u32(buffer, 0);  // reserved
   }
 
@@ -476,9 +300,9 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     while (buffer.size() < offsets[s]) buffer.push_back(std::byte{0});
-    buffer.insert(buffer.end(), plan[s].stored->begin(), plan[s].stored->end());
+    buffer.insert(buffer.end(), plan[s]->begin(), plan[s]->end());
   }
-  while ((buffer.size() & 7U) != 0) buffer.push_back(std::byte{0});
+  pad8(buffer);
   buffer.insert(buffer.end(), kTailMagic.begin(), kTailMagic.end());
   EYEBALL_DCHECK(buffer.size() == file_size, "artifact assembly size drifted");
 
@@ -489,11 +313,9 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
 util::Status ArtifactCodec::write(util::FileSystem& fs, const std::string& path,
                                   const TargetDataset& dataset,
                                   std::span<const AsAnalysis> analyses,
-                                  std::uint64_t epoch, std::uint64_t config_fingerprint,
-                                  const EncodeOptions& options) {
+                                  std::uint64_t epoch, std::uint64_t config_fingerprint) {
   std::vector<std::byte> bytes;
-  if (util::Status status =
-          encode(dataset, analyses, epoch, config_fingerprint, bytes, options);
+  if (util::Status status = encode(dataset, analyses, epoch, config_fingerprint, bytes);
       !status.ok()) {
     return status;
   }
@@ -605,7 +427,6 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
     std::uint32_t encoding = 0;
     std::uint64_t offset = 0;
     std::uint64_t stored_size = 0;
-    std::uint64_t raw_size = 0;
     std::uint32_t crc = 0;
   };
   std::array<Section, kSectionCount> sections;
@@ -619,24 +440,14 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
       sec.encoding = load_u32(bytes, at + 4);
       sec.offset = load_u64(bytes, at + 8);
       sec.stored_size = load_u64(bytes, at + 16);
-      sec.raw_size = load_u64(bytes, at + 24);
+      const std::uint64_t raw_size = load_u64(bytes, at + 24);
       sec.crc = load_u32(bytes, at + 32);
       if (id != s + 1) return corruption_at("section ids out of order");
       if (sec.encoding != kEncodingRaw && sec.encoding != kEncodingZstd) {
         return corruption_at("unknown section encoding");
       }
-      if (sec.encoding == kEncodingRaw && sec.raw_size != sec.stored_size) {
+      if (sec.encoding == kEncodingRaw && raw_size != sec.stored_size) {
         return corruption_at("raw section with mismatched raw/stored sizes");
-      }
-      // raw_size drives an allocation at decompression time, so bound it
-      // before anything trusts it.  A zstd block emits at most 128 KiB from
-      // a ~4-byte RLE header, so no real frame expands beyond 32768x; a
-      // table claiming more is corrupt regardless of what the payload says,
-      // and rejecting it here keeps a crafted raw_size (e.g. 2^60) from
-      // turning into an OOM/bad_alloc escaping this typed-Status path.
-      if (sec.encoding == kEncodingZstd &&
-          sec.raw_size / kMaxZstdExpansion > sec.stored_size) {
-        return corruption_at("zstd section claims an impossible expansion ratio");
       }
       // Exact packing: each section starts at the previous one's padded
       // end.  This single equality makes out-of-bounds, overlapping and
@@ -668,59 +479,22 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
 
   // 4. Payload CRCs (hardware-accelerated; this is the only full read of
   // the image at open — everything later is query-driven page touches).
+  std::array<std::span<const std::byte>, kSectionCount> payload;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::span<const std::byte> stored =
-        bytes.subspan(sections[s].offset, sections[s].stored_size);
-    if (util::crc32c_fast(stored) != sections[s].crc) {
+    payload[s] = bytes.subspan(sections[s].offset, sections[s].stored_size);
+    if (util::crc32c_fast(payload[s]) != sections[s].crc) {
       return corruption_at("section CRC mismatch");
     }
   }
 
-  // 5. Decompress cold sections (owned side buffers); raw sections are
-  // served straight from the mapping.
-  std::vector<std::vector<std::byte>> inflated(kSectionCount);
-  std::array<std::span<const std::byte>, kSectionCount> payload;
-  for (std::size_t s = 0; s < kSectionCount; ++s) {
-    const std::span<const std::byte> stored =
-        bytes.subspan(sections[s].offset, sections[s].stored_size);
-    if (sections[s].encoding == kEncodingRaw) {
-      payload[s] = stored;
-      continue;
+  // 5. An intact image with a zstd section is a format this build cannot
+  // read — the same taxonomy slot as a newer format version, not
+  // corruption.  Raw sections are served straight from the image.
+  for (const Section& section : sections) {
+    if (section.encoding == kEncodingZstd) {
+      return util::Status::version_mismatch(
+          "artifact: zstd-compressed section; this build reads raw sections only");
     }
-#if defined(EYEBALL_HAS_ZSTD)
-    // The encoder's one-shot ZSTD_compress always records the content size
-    // in the frame header, so it must equal the table's raw_size.  Checking
-    // before the allocation means a frame/table disagreement is a typed
-    // error, not a buffer sized by whichever side an attacker forged.
-    const unsigned long long frame_raw =
-        ZSTD_getFrameContentSize(stored.data(), stored.size());
-    if (frame_raw == ZSTD_CONTENTSIZE_ERROR ||
-        frame_raw == ZSTD_CONTENTSIZE_UNKNOWN ||
-        frame_raw != sections[s].raw_size) {
-      return corruption_at("zstd frame content size disagrees with the table");
-    }
-    std::vector<std::byte>& raw = inflated[s];
-    try {
-      raw.assign(sections[s].raw_size, std::byte{0});
-    } catch (const std::bad_alloc&) {
-      // raw_size is already ratio-bounded by the table walk; if the host
-      // still cannot back the buffer, surface it as a typed error rather
-      // than letting bad_alloc escape the no-throw load contract.
-      return util::Status::io_error(
-          "artifact: cannot allocate buffer for zstd section");
-    }
-    const std::size_t got = ZSTD_decompress(raw.data(), raw.size(), stored.data(),
-                                            stored.size());
-    if (ZSTD_isError(got) != 0U || got != raw.size()) {
-      return corruption_at("zstd section fails to decompress to its raw size");
-    }
-    payload[s] = raw;
-#else
-    // A well-formed artifact this build cannot read — the same taxonomy
-    // slot as a newer format version, not corruption.
-    return util::Status::version_mismatch(
-        "artifact: zstd-compressed section but this binary was built without zstd");
-#endif
   }
 
   // 6. Structural walk.
@@ -736,35 +510,9 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   const std::span<const std::byte> pops_pay = payload[kSecPops - 1];
   const std::span<const std::byte> regions_pay = payload[kSecRegions - 1];
 
-  // Stats: fixed counters + declared window count.
-  if (stats_pay.size() < kStatsFixedSize) return corruption_at("stats section too small");
   DatasetStats stats;
-  stats.raw_samples = static_cast<std::size_t>(load_u64(stats_pay, 0));
-  stats.missing_geo = static_cast<std::size_t>(load_u64(stats_pay, 8));
-  stats.high_error = static_cast<std::size_t>(load_u64(stats_pay, 16));
-  stats.unmapped_as = static_cast<std::size_t>(load_u64(stats_pay, 24));
-  stats.peers_in_small_ases = static_cast<std::size_t>(load_u64(stats_pay, 32));
-  stats.ases_below_min_peers = static_cast<std::size_t>(load_u64(stats_pay, 40));
-  stats.ases_above_p90_error = static_cast<std::size_t>(load_u64(stats_pay, 48));
-  stats.final_peers = static_cast<std::size_t>(load_u64(stats_pay, 56));
-  stats.final_ases = static_cast<std::size_t>(load_u64(stats_pay, 64));
-  stats.rejected_samples = static_cast<std::size_t>(load_u64(stats_pay, 72));
-  const std::uint64_t window_count = load_u64(stats_pay, 80);
-  if (window_count > (stats_pay.size() - kStatsFixedSize) / kWindowRecordSize ||
-      stats_pay.size() != kStatsFixedSize + window_count * kWindowRecordSize) {
-    return corruption_at("stats window count does not match the section size");
-  }
-  stats.windows.reserve(static_cast<std::size_t>(window_count));
-  for (std::uint64_t w = 0; w < window_count; ++w) {
-    const std::size_t at = kStatsFixedSize + static_cast<std::size_t>(w) *
-                                                 kWindowRecordSize;
-    WindowStats window;
-    window.offered = static_cast<std::size_t>(load_u64(stats_pay, at));
-    window.duplicates = static_cast<std::size_t>(load_u64(stats_pay, at + 8));
-    window.admitted = static_cast<std::size_t>(load_u64(stats_pay, at + 16));
-    window.cumulative_unique = static_cast<std::size_t>(load_u64(stats_pay, at + 24));
-    window.rejected = static_cast<std::size_t>(load_u64(stats_pay, at + 32));
-    stats.windows.push_back(window);
+  if (!read_dataset_stats(stats_pay, stats)) {
+    return corruption_at("stats section size disagrees with its window count");
   }
 
   // Arena element counts.
@@ -851,13 +599,23 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
         e.max_lat > 90.0 || e.min_lon < -180.0 || e.max_lon > 180.0) {
       return corruption_at("grid bounding box out of range");
     }
-    std::uint64_t want_rows = 0, want_cols = 0;
-    if (!derive_grid_shape(e.min_lat, e.max_lat, e.min_lon, e.max_lon, e.cell_km,
-                           want_rows, want_cols) ||
-        want_rows != e.grid_rows || want_cols != e.grid_cols) {
+    // The artifact stores the POST-coarsening cell size, so one evaluation
+    // of DensityGrid's shape formula must reproduce the stored counts.  The
+    // 2^31 axis cap keeps rows*cols from overflowing u64 below; a real grid
+    // is orders of magnitude smaller (DensityGrid's cell budget).
+    if (!(e.cell_km > 0.0) || !std::isfinite(e.cell_km)) {
+      return corruption_at("grid cell size out of range");
+    }
+    constexpr double kAxisCap = 2147483648.0;
+    const kde::DensityGrid::Shape want = kde::DensityGrid::shape(
+        geo::BoundingBox{e.min_lat, e.max_lat, e.min_lon, e.max_lon}, e.cell_km);
+    if (!(want.rows >= 1.0 && want.rows < kAxisCap) ||
+        !(want.cols >= 1.0 && want.cols < kAxisCap) ||
+        static_cast<std::uint64_t>(want.rows) != e.grid_rows ||
+        static_cast<std::uint64_t>(want.cols) != e.grid_cols) {
       return corruption_at("grid shape inconsistent with its box and cell size");
     }
-    const std::uint64_t cells = e.grid_rows * e.grid_cols;  // capped by derive
+    const std::uint64_t cells = e.grid_rows * e.grid_cols;  // both axes capped
     // Zero-suppressed grid: the run and value ranges tile their arenas like
     // every other arena, and the runs themselves must be canonical —
     // non-empty, strictly separated (maximal), inside the grid, covering
@@ -979,7 +737,6 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   config_fingerprint_ = fingerprint;
   stats_ = std::move(stats);
   entries_ = std::move(entries);
-  inflated_ = std::move(inflated);
   asn_order_ = order_pay;
   peers_ = peers_pay;
   grid_runs_ = runs_pay;

@@ -24,10 +24,11 @@
 //            u32               reserved (zero)
 //   table    section-count entries x 40 B:
 //            u32               section id (strictly ascending)
-//            u32               encoding (0 = raw, 1 = zstd)
+//            u32               encoding (0 = raw; this build writes and
+//                              reads nothing else)
 //            u64               file offset of the payload (8-aligned)
 //            u64               stored payload size in bytes
-//            u64               raw (decompressed) payload size
+//            u64               raw payload size (equals the stored size)
 //            u32               payload CRC32C (over the stored bytes)
 //            u32               reserved (zero)
 //   payload  sections back-to-back in table order, each zero-padded to the
@@ -64,17 +65,20 @@
 //      fails the CRC as kCorruption, a genuinely newer format passes it and
 //      reports kVersionMismatch
 //   3. section-table walk: exact id order, exact packing (each offset is
-//      the previous section's padded end), encodings known, zstd raw sizes
-//      capped at 32768x stored (past zstd's physical maximum expansion, so
-//      a forged table cannot demand an unbounded decompression buffer)
+//      the previous section's padded end), encodings known (0 = raw, or 1 =
+//      zstd, which an older writer could produce), raw size = stored size
+//      for raw sections
 //   4. per-section payload CRC (hardware-accelerated crc32c_fast)
-//   5. zstd sections decompressed into owned side buffers ("cold"
-//      sections; the frame header's content size must equal the table's
-//      raw size before the buffer is allocated; refused with
-//      kVersionMismatch when built without zstd)
+//   5. a zstd section in an intact image is refused with kVersionMismatch:
+//      well-formed, but not readable by this build
 //   6. structural walk: arena sizes vs record sizes, per-AS ranges tile the
 //      arenas, ASN order index is a sorted permutation, enums in range,
-//      grid geometry consistent (rows/cols re-derived from box + cell size)
+//      grid geometry consistent (rows/cols re-derived from box + cell size
+//      by DensityGrid::shape, the formula the grid itself uses)
+//
+// The byte-level helpers (little-endian writers and loads, the bounds-
+// checked cursor, the DatasetStats section) live in core/byte_codec.hpp,
+// shared with EYBSNAP1.
 //
 // Encode is canonical: a given (dataset, analyses, epoch, fingerprint)
 // produces identical bytes regardless of thread counts or how the samples
@@ -104,14 +108,6 @@ struct GridRun {
   std::uint64_t count = 0;
 };
 
-struct ArtifactEncodeOptions {
-  /// Compress the cold sections (currently the peer arena — needed for
-  /// re-analysis, not for answering queries) with zstd.  Requires a build
-  /// with zstd available (see ArtifactCodec::zstd_supported()); encode
-  /// fails typed otherwise rather than silently writing raw.
-  bool compress_cold = false;
-};
-
 /// Encoder for the EYBART1 format.  Stateless; reads only the public
 /// surface of the finalized dataset and analyses (unlike SnapshotCodec it
 /// needs no friendship — the artifact captures published output, not
@@ -120,8 +116,6 @@ class ArtifactCodec {
  public:
   static constexpr std::uint32_t kFormatVersion = 1;
 
-  using EncodeOptions = ArtifactEncodeOptions;
-
   /// Serializes one epoch into `out` (replaced).  `analyses` must be
   /// parallel to `dataset.ases()`.  Canonical: equal inputs encode to
   /// identical bytes.
@@ -129,8 +123,7 @@ class ArtifactCodec {
                                            std::span<const AsAnalysis> analyses,
                                            std::uint64_t epoch,
                                            std::uint64_t config_fingerprint,
-                                           std::vector<std::byte>& out,
-                                           const EncodeOptions& options = {});
+                                           std::vector<std::byte>& out);
 
   /// encode() + crash-safe publish via atomic_write_file: a crash leaves
   /// the previous artifact or the new one, never a hybrid.
@@ -138,12 +131,7 @@ class ArtifactCodec {
                                           const TargetDataset& dataset,
                                           std::span<const AsAnalysis> analyses,
                                           std::uint64_t epoch,
-                                          std::uint64_t config_fingerprint,
-                                          const EncodeOptions& options = {});
-
-  /// True when this binary was built against zstd (EncodeOptions::
-  /// compress_cold usable, compressed sections readable).
-  [[nodiscard]] static bool zstd_supported() noexcept;
+                                          std::uint64_t config_fingerprint);
 };
 
 /// Zero-copy reader over a validated artifact.  open() maps the file and
@@ -292,9 +280,6 @@ class ArtifactView {
   util::MappedFile map_;
   std::vector<std::byte> owned_;
   std::span<const std::byte> bytes_;
-  /// Owned decompressed payloads for zstd sections (empty slots for raw
-  /// sections, which point straight into bytes_).
-  std::vector<std::vector<std::byte>> inflated_;
 
   bool opened_ = false;
   std::uint64_t epoch_ = 0;
@@ -303,7 +288,7 @@ class ArtifactView {
   std::vector<AsEntry> entries_;
   /// Indices into entries_, stably sorted by ASN (persisted, validated).
   std::span<const std::byte> asn_order_;
-  // Arena payloads (post-decompression views).
+  // Arena payloads (views into bytes_).
   std::span<const std::byte> peers_;
   std::span<const std::byte> grid_runs_;
   std::span<const double> grid_values_;

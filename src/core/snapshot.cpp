@@ -10,6 +10,7 @@
 #include <string>
 #include <utility>
 
+#include "core/byte_codec.hpp"
 #include "core/streaming_dataset.hpp"
 #include "util/annotations.hpp"
 #include "util/crc32c.hpp"
@@ -20,6 +21,8 @@
 namespace eyeball::core {
 
 namespace {
+
+using namespace codec;  // the shared little-endian layer (core/byte_codec.hpp)
 
 // Layout constants (see the format comment in snapshot.hpp).
 constexpr char kHeadMagic[8] = {'E', 'Y', 'B', 'S', 'N', 'A', 'P', '1'};
@@ -40,74 +43,7 @@ constexpr std::uint32_t kSectionCount = 5;
 
 constexpr std::size_t kPeerRecordSize = 4 + 1 + 8 + 8 + 8 + 4;
 constexpr std::size_t kBucketHeaderSize = 4 + 8;
-constexpr std::size_t kStatsCounterBytes = 10 * 8;
-constexpr std::size_t kWindowRecordSize = 5 * 8;
 constexpr std::size_t kConfigPayloadSize = 3 * 8;
-
-void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-void put_u64(std::vector<std::byte>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xffU));
-  }
-}
-
-void put_f64(std::vector<std::byte>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader over a byte span.  Every read
-/// returns false instead of walking past the end; callers funnel a false
-/// into kCorruption.
-class Reader {
- public:
-  explicit Reader(std::span<const std::byte> data) : data_(data) {}
-
-  [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
-
-  [[nodiscard]] bool read_u8(std::uint8_t& out) noexcept {
-    if (remaining() < 1) return false;
-    out = std::to_integer<std::uint8_t>(data_[pos_++]);
-    return true;
-  }
-
-  [[nodiscard]] bool read_u32(std::uint32_t& out) noexcept {
-    if (remaining() < 4) return false;
-    out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(std::to_integer<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(i)]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  [[nodiscard]] bool read_u64(std::uint64_t& out) noexcept {
-    if (remaining() < 8) return false;
-    out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(std::to_integer<std::uint8_t>(data_[pos_ + static_cast<std::size_t>(i)]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  [[nodiscard]] bool read_f64(double& out) noexcept {
-    std::uint64_t bits = 0;
-    if (!read_u64(bits)) return false;
-    out = std::bit_cast<double>(bits);
-    return true;
-  }
-
- private:
-  std::span<const std::byte> data_;
-  std::size_t pos_ = 0;
-};
 
 [[nodiscard]] util::Status corrupt(const char* what) {
   return util::Status::corruption(what);
@@ -234,24 +170,7 @@ std::vector<std::byte> SnapshotCodec::encode(const StreamingDatasetBuilder& buil
   emit_section(kSeen);
 
   // kStats: cumulative counters + per-window snapshots.
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.raw_samples));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.missing_geo));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.high_error));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.unmapped_as));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.peers_in_small_ases));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.ases_below_min_peers));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.ases_above_p90_error));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.final_peers));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.final_ases));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.rejected_samples));
-  put_u64(payload, static_cast<std::uint64_t>(builder.stats_.windows.size()));
-  for (const WindowStats& w : builder.stats_.windows) {
-    put_u64(payload, static_cast<std::uint64_t>(w.offered));
-    put_u64(payload, static_cast<std::uint64_t>(w.duplicates));
-    put_u64(payload, static_cast<std::uint64_t>(w.admitted));
-    put_u64(payload, static_cast<std::uint64_t>(w.cumulative_unique));
-    put_u64(payload, static_cast<std::uint64_t>(w.rejected));
-  }
+  put_dataset_stats(payload, builder.stats_);
   emit_section(kStats);
 
   // kTouched: sorted for canonical bytes.
@@ -284,7 +203,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
     return corrupt("bad tail magic: truncated or overwritten snapshot");
   }
   const std::span<const std::byte> body = bytes.first(bytes.size() - kFooterSize);
-  Reader footer{bytes.subspan(bytes.size() - kFooterSize)};
+  Cursor footer{bytes.subspan(bytes.size() - kFooterSize)};
   std::uint32_t stored_file_crc = 0;
   if (!footer.read_u32(stored_file_crc)) return corrupt("unreadable footer");
   // CRC before the version check: a damaged version byte is corruption; a
@@ -293,7 +212,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
     return corrupt("whole-file CRC mismatch");
   }
 
-  Reader reader{body};
+  Cursor reader{body};
   std::uint64_t skip = 0;
   static_cast<void>(reader.read_u64(skip));  // head magic, verified above
   std::uint32_t version = 0;
@@ -330,20 +249,17 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
       return corrupt("unreadable section header");
     }
     if (id != expected_id) return corrupt("unknown, duplicate, or misordered section id");
-    if (size > reader.remaining()) return corrupt("section payload overruns the file");
-    const std::span<const std::byte> payload =
-        body.subspan(body.size() - reader.remaining(), static_cast<std::size_t>(size));
+    std::span<const std::byte> payload;
+    if (!reader.read_bytes(size, payload)) return corrupt("section payload overruns the file");
     if (util::crc32c(payload) != crc) return corrupt("section CRC mismatch");
     sections[expected_id - 1] = payload;
-    reader = Reader{body.subspan(body.size() - reader.remaining() +
-                                 static_cast<std::size_t>(size))};
   }
   if (reader.remaining() != 0) return corrupt("trailing garbage after the last section");
 
   // ---- kConfig: must agree with the header fingerprint AND the live
   // config (defense in depth; the message names the offending field). ----
   {
-    Reader r{sections[kConfig - 1]};
+    Cursor r{sections[kConfig - 1]};
     if (sections[kConfig - 1].size() != kConfigPayloadSize) {
       return corrupt("config section has the wrong size");
     }
@@ -378,7 +294,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   // the builder until all of them have validated. ----
   std::map<std::uint32_t, AsPeerSet> by_as;
   {
-    Reader r{sections[kBuckets - 1]};
+    Cursor r{sections[kBuckets - 1]};
     std::uint64_t as_count = 0;
     if (!r.read_u64(as_count)) return corrupt("unreadable bucket count");
     if (as_count > r.remaining() / kBucketHeaderSize) {
@@ -431,7 +347,7 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
 
   std::vector<std::uint64_t> seen_keys;
   {
-    Reader r{sections[kSeen - 1]};
+    Cursor r{sections[kSeen - 1]};
     std::uint64_t count = 0;
     if (!r.read_u64(count)) return corrupt("unreadable dedup-key count");
     // Divide, never multiply: a hostile count must not overflow the check.
@@ -450,43 +366,13 @@ util::Status SnapshotCodec::decode(std::span<const std::byte> bytes,
   }
 
   DatasetStats stats;
-  {
-    Reader r{sections[kStats - 1]};
-    std::uint64_t v = 0;
-    const auto read_counter = [&r, &v](std::size_t& field) {
-      if (!r.read_u64(v)) return false;
-      field = static_cast<std::size_t>(v);
-      return true;
-    };
-    if (!read_counter(stats.raw_samples) || !read_counter(stats.missing_geo) ||
-        !read_counter(stats.high_error) || !read_counter(stats.unmapped_as) ||
-        !read_counter(stats.peers_in_small_ases) ||
-        !read_counter(stats.ases_below_min_peers) ||
-        !read_counter(stats.ases_above_p90_error) || !read_counter(stats.final_peers) ||
-        !read_counter(stats.final_ases) || !read_counter(stats.rejected_samples)) {
-      return corrupt("unreadable stats counters");
-    }
-    std::uint64_t window_count = 0;
-    if (!r.read_u64(window_count)) return corrupt("unreadable window count");
-    if (r.remaining() % kWindowRecordSize != 0 ||
-        window_count != r.remaining() / kWindowRecordSize) {
-      return corrupt("window count disagrees with the payload");
-    }
-    stats.windows.reserve(static_cast<std::size_t>(window_count));
-    for (std::uint64_t i = 0; i < window_count; ++i) {
-      WindowStats w;
-      if (!read_counter(w.offered) || !read_counter(w.duplicates) ||
-          !read_counter(w.admitted) || !read_counter(w.cumulative_unique) ||
-          !read_counter(w.rejected)) {
-        return corrupt("unreadable window record");
-      }
-      stats.windows.push_back(w);
-    }
+  if (!read_dataset_stats(sections[kStats - 1], stats)) {
+    return corrupt("stats section size disagrees with its window count");
   }
 
   std::vector<std::uint32_t> touched;
   {
-    Reader r{sections[kTouched - 1]};
+    Cursor r{sections[kTouched - 1]};
     std::uint64_t count = 0;
     if (!r.read_u64(count)) return corrupt("unreadable touched count");
     if (r.remaining() % 4 != 0 || count != r.remaining() / 4) {

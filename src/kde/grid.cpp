@@ -6,28 +6,33 @@
 
 namespace eyeball::kde {
 
+DensityGrid::Shape DensityGrid::shape(const geo::BoundingBox& box, double cell_km) noexcept {
+  const double mid_lat = (box.min_lat() + box.max_lat()) / 2.0;
+  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
+  Shape out{};
+  out.dlat_deg = cell_km / geo::kKmPerDegreeLat;
+  out.dlon_deg = cell_km / lon_scale;
+  out.rows = std::max(1.0, std::ceil((box.max_lat() - box.min_lat()) / out.dlat_deg));
+  out.cols = std::max(1.0, std::ceil((box.max_lon() - box.min_lon()) / out.dlon_deg));
+  return out;
+}
+
 DensityGrid::DensityGrid(const geo::BoundingBox& box, double cell_km,
                          std::size_t max_cells)
     : box_(box), cell_km_(cell_km) {
   if (!(cell_km > 0.0)) throw std::invalid_argument{"DensityGrid: cell_km must be > 0"};
 
-  const double mid_lat = (box.min_lat() + box.max_lat()) / 2.0;
-  const double lon_scale = std::max(1.0, geo::km_per_degree_lon(mid_lat));
-
   // Grow the cell size if the requested resolution would blow the budget.
   // The budget comparison happens in double, before any float->int cast: a
-  // tiny cell_km can make want_rows*want_cols exceed SIZE_MAX, and casting
-  // such a value to size_t is undefined behaviour.
+  // tiny cell_km can make rows*cols exceed SIZE_MAX, and casting such a
+  // value to size_t is undefined behaviour.
   for (;;) {
-    dlat_deg_ = cell_km_ / geo::kKmPerDegreeLat;
-    dlon_deg_ = cell_km_ / lon_scale;
-    const double want_rows =
-        std::max(1.0, std::ceil((box.max_lat() - box.min_lat()) / dlat_deg_));
-    const double want_cols =
-        std::max(1.0, std::ceil((box.max_lon() - box.min_lon()) / dlon_deg_));
-    if (want_rows * want_cols <= static_cast<double>(max_cells)) {
-      rows_ = static_cast<std::size_t>(want_rows);
-      cols_ = static_cast<std::size_t>(want_cols);
+    const Shape want = shape(box, cell_km_);
+    if (want.rows * want.cols <= static_cast<double>(max_cells)) {
+      dlat_deg_ = want.dlat_deg;
+      dlon_deg_ = want.dlon_deg;
+      rows_ = static_cast<std::size_t>(want.rows);
+      cols_ = static_cast<std::size_t>(want.cols);
       break;
     }
     cell_km_ *= 1.5;

@@ -23,6 +23,20 @@ class DensityGrid {
   /// exceed `max_cells`.
   DensityGrid(const geo::BoundingBox& box, double cell_km, std::size_t max_cells = 8000000);
 
+  /// One evaluation of the grid-shape formula: the cell size in degrees
+  /// and the row/column counts a grid over `box` gets with cells of exactly
+  /// `cell_km`.  The constructor calls it once per coarsening step; the
+  /// artifact validator calls it to re-derive a stored grid's shape.  Counts
+  /// stay doubles so a caller can compare them against a budget or cap
+  /// before casting — a tiny cell can ask for more cells than size_t holds.
+  struct Shape {
+    double dlat_deg;
+    double dlon_deg;
+    double rows;
+    double cols;
+  };
+  [[nodiscard]] static Shape shape(const geo::BoundingBox& box, double cell_km) noexcept;
+
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t cell_count() const noexcept { return values_.size(); }

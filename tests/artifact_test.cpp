@@ -423,21 +423,6 @@ TEST(Artifact, EncodeRefusesMismatchedInputs) {
                                                w.analyses.size() - 1};
   EXPECT_EQ(core::ArtifactCodec::encode(w.dataset, short_span, 1, 0, bytes).code(),
             StatusCode::kInvalidArgument);
-  // compress_cold without zstd in the build refuses typed instead of
-  // silently writing raw (when zstd IS available, it must succeed).
-  core::ArtifactCodec::EncodeOptions options;
-  options.compress_cold = true;
-  const Status compressed =
-      core::ArtifactCodec::encode(w.dataset, w.analyses, 1, 0, bytes, options);
-  if (core::ArtifactCodec::zstd_supported()) {
-    EXPECT_TRUE(compressed.ok()) << compressed.message();
-    core::ArtifactView view;
-    const Status opened = core::ArtifactView::from_bytes(std::move(bytes), view);
-    ASSERT_TRUE(opened.ok()) << opened.message();
-    expect_view_equals_epoch(view, w.dataset, w.analyses, "zstd round trip");
-  } else {
-    EXPECT_EQ(compressed.code(), StatusCode::kInvalidArgument);
-  }
 }
 
 // ---- Service integration: publish-time emission + zero-copy restore ----
