@@ -30,6 +30,7 @@ STAGES=(
   "lint|tools/eyeball_lint.py self-test + repo scan, BENCH_*.json schema check, bench_diff self-test"
   "strict|EYEBALL_STRICT=ON (-Wconversion -Wdouble-promotion -Werror) build"
   "bench-smoke|each bm_* binary runs one cheap benchmark (bit-rot guard; a missing or failing binary is a hard stage failure)"
+  "perfbench-smoke|perfbench builds against the library and runs durable_restart for 1 s under its oracle (both durable formats round-trip)"
   "format|clang-format --dry-run --Werror via the format-check target [skipped when clang-format is absent]"
 )
 
@@ -242,6 +243,17 @@ bench_smoke_stage() {
   rm -f "${serving_out}"
 }
 
+# --- perfbench-smoke: the end-to-end benchmark still builds and runs --------
+# perfbench/ builds its own Release tree of the library on first use, so a
+# library signature change that breaks it would otherwise go unnoticed until
+# the next benchmark run.  durable_restart publishes with a snapshot and an
+# artifact and restores from both under the benchmark's oracle; a nonzero
+# exit (build failure, oracle mismatch, failed operations) fails the stage.
+perfbench_smoke_stage() {
+  python3 "${ROOT}/perfbench/run.py" --workload durable_restart --seed 1 \
+    --seconds 1 --trace 0
+}
+
 # --- strict: narrowing/promotion warnings as errors ------------------------
 strict_stage() {
   cmake -B "${ROOT}/build-strict" -S "${ROOT}" -DEYEBALL_STRICT=ON \
@@ -276,6 +288,11 @@ else
 fi
 run_stage strict strict_stage
 run_stage bench-smoke bench_smoke_stage
+if command -v python3 > /dev/null 2>&1; then
+  run_stage perfbench-smoke perfbench_smoke_stage
+else
+  skip_stage perfbench-smoke "python3 not installed"
+fi
 if command -v clang-format > /dev/null 2>&1; then
   run_stage format format_stage
 else
