@@ -10,7 +10,6 @@
 #include "kde/estimator.hpp"
 #include "kde/peaks.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -65,44 +64,6 @@ void BM_KdeExact(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_KdeExact)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
-
-// Threads axis for the parallel convolution passes (1/2/4/hw); results are
-// bit-identical across thread counts, so this isolates pure speedup.
-void BM_KdeBinnedThreads(benchmark::State& state) {
-  const auto points = make_points(1000000, 1);
-  kde::KdeConfig config;
-  config.bandwidth_km = 40.0;
-  config.cell_km = 5.0;
-  config.threads = static_cast<std::size_t>(state.range(0));  // 0 = hardware
-  const kde::KernelDensityEstimator estimator{config};
-  const auto box = estimator.padded_box(points);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate(points, box));
-  }
-  const auto effective = config.threads == 0
-                             ? eyeball::util::ThreadPool::shared().worker_count()
-                             : config.threads;
-  state.SetLabel(std::to_string(effective) + " threads");
-  state.SetItemsProcessed(state.iterations() * 1000000);
-}
-BENCHMARK(BM_KdeBinnedThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_KdeExactThreads(benchmark::State& state) {
-  const auto points = make_points(2000, 1);
-  kde::KdeConfig config;
-  config.bandwidth_km = 40.0;
-  config.cell_km = 10.0;
-  config.threads = static_cast<std::size_t>(state.range(0));  // 0 = hardware
-  const kde::KernelDensityEstimator estimator{config};
-  const auto box = estimator.padded_box(points);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.estimate_exact(points, box));
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_KdeExactThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_KdeBandwidthSweep(benchmark::State& state) {
   const auto points = make_points(50000, 1);

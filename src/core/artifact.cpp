@@ -290,12 +290,12 @@ util::Status ArtifactCodec::encode(const TargetDataset& dataset,
     put_u64(buffer, offsets[s]);
     put_u64(buffer, plan[s]->size());  // stored size
     put_u64(buffer, plan[s]->size());  // raw size
-    put_u32(buffer, util::crc32c_fast(*plan[s]));
+    put_u32(buffer, util::crc32c(*plan[s]));
     put_u32(buffer, 0);  // reserved
   }
 
   // Meta CRC covers the header (with the CRC field still zero) + the table.
-  const std::uint32_t meta_crc = util::crc32c_fast(buffer);
+  const std::uint32_t meta_crc = util::crc32c(buffer);
   put_u32_at(buffer, kMetaCrcOffset, meta_crc);
 
   for (std::size_t s = 0; s < kSectionCount; ++s) {
@@ -402,7 +402,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
                                                     kHeaderSize + table_size));
     const std::uint32_t stored_crc = load_u32(meta, kMetaCrcOffset);
     put_u32_at(meta, kMetaCrcOffset, 0);
-    if (util::crc32c_fast(meta) != stored_crc) {
+    if (util::crc32c(meta) != stored_crc) {
       return corruption_at("meta CRC mismatch (header or section table damaged)");
     }
   }
@@ -482,7 +482,7 @@ util::Status ArtifactView::load(std::span<const std::byte> bytes) {
   std::array<std::span<const std::byte>, kSectionCount> payload;
   for (std::size_t s = 0; s < kSectionCount; ++s) {
     payload[s] = bytes.subspan(sections[s].offset, sections[s].stored_size);
-    if (util::crc32c_fast(payload[s]) != sections[s].crc) {
+    if (util::crc32c(payload[s]) != sections[s].crc) {
       return corruption_at("section CRC mismatch");
     }
   }

@@ -68,7 +68,7 @@
 //      the previous section's padded end), encodings known (0 = raw, or 1 =
 //      zstd, which an older writer could produce), raw size = stored size
 //      for raw sections
-//   4. per-section payload CRC (hardware-accelerated crc32c_fast)
+//   4. per-section payload CRC (util::crc32c)
 //   5. a zstd section in an intact image is refused with kVersionMismatch:
 //      well-formed, but not readable by this build
 //   6. structural walk: arena sizes vs record sizes, per-AS ranges tile the

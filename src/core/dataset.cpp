@@ -414,7 +414,7 @@ TargetDataset DatasetBuilder::build(std::span<const p2p::PeerSample> samples,
   detail::ConditionCounters dropped;
   util::ThreadPool::shared().parallel_map_reduce(
       0, samples.size(),
-      [&](std::size_t lo, std::size_t hi) {
+      [&](std::size_t /*chunk*/, std::size_t lo, std::size_t hi) {
         geodb::LookupMemo primary{primary_, config_.lookup_memo_slots};
         geodb::LookupMemo secondary{secondary_, config_.lookup_memo_slots};
         return detail::condition_chunk(samples, lo, hi, primary, secondary, mapper_,

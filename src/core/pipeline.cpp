@@ -48,33 +48,12 @@ std::vector<AsAnalysis> EyeballPipeline::refresh_analyses(
 
   const auto ases = dataset.ases();
   std::vector<std::optional<AsAnalysis>> slots(ases.size());
-  std::vector<std::size_t> stale;  // indices that need a fresh analyze()
   for (std::size_t i = 0; i < ases.size(); ++i) {
     const std::uint32_t asn_value = net::value_of(ases[i].asn);
     const auto hit = reusable.find(asn_value);
-    if (hit != reusable.end() && !dirty.contains(asn_value)) {
-      slots[i] = *hit->second;
-    } else {
-      stale.push_back(i);
-    }
+    if (hit != reusable.end() && !dirty.contains(asn_value)) slots[i] = *hit->second;
   }
-  // Same fan-out shape as analyze_all: contiguous chunks of the stale list,
-  // disjoint output slots, input-order collection.
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways =
-      config_.threads == 0 ? pool.worker_count() : config_.threads;
-  pool.parallel_for(
-      0, stale.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          slots[stale[i]] = analyze(ases[stale[i]]);
-        }
-      },
-      ways);
-  std::vector<AsAnalysis> out;
-  out.reserve(slots.size());
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
+  return analyze_missing(ases, std::move(slots), config_.threads);
 }
 
 AsAnalysis EyeballPipeline::analyze(const AsPeerSet& peers) const {
@@ -100,17 +79,25 @@ std::vector<AsAnalysis> EyeballPipeline::analyze_all(
 
 std::vector<AsAnalysis> EyeballPipeline::analyze_all(std::span<const AsPeerSet> ases,
                                                      std::size_t threads) const {
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways = threads == 0 ? pool.worker_count() : threads;
-  // Slots keep the output in input order whatever the chunk schedule; each
-  // chunk only touches its own indices, so no synchronization is needed.
-  std::vector<std::optional<AsAnalysis>> slots(ases.size());
-  pool.parallel_for(
-      0, ases.size(),
+  return analyze_missing(ases, std::vector<std::optional<AsAnalysis>>(ases.size()),
+                         threads);
+}
+
+std::vector<AsAnalysis> EyeballPipeline::analyze_missing(
+    std::span<const AsPeerSet> ases, std::vector<std::optional<AsAnalysis>> slots,
+    std::size_t threads) const {
+  std::vector<std::size_t> missing;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i].has_value()) missing.push_back(i);
+  }
+  util::ThreadPool::shared().parallel_for(
+      0, missing.size(),
       [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) slots[i] = analyze(ases[i]);
+        for (std::size_t i = lo; i < hi; ++i) {
+          slots[missing[i]] = analyze(ases[missing[i]]);
+        }
       },
-      ways);
+      threads);
   std::vector<AsAnalysis> out;
   out.reserve(slots.size());
   for (auto& slot : slots) out.push_back(std::move(*slot));

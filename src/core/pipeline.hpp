@@ -90,6 +90,14 @@ class EyeballPipeline {
                                            double bandwidth_km) const;
 
  private:
+  /// The one per-AS analysis fan-out: fills every empty slot i with
+  /// analyze(ases[i]) in contiguous chunks of the empty slots at `threads`,
+  /// then returns the slots in input order.  Each chunk writes only its own
+  /// slots, so no synchronization is needed.
+  [[nodiscard]] std::vector<AsAnalysis> analyze_missing(
+      std::span<const AsPeerSet> ases, std::vector<std::optional<AsAnalysis>> slots,
+      std::size_t threads) const;
+
   const gazetteer::Gazetteer& gaz_;
   DatasetBuilder builder_;
   AsClassifier classifier_;

@@ -108,16 +108,12 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
   // Stage 1 over the admitted window only, sharded exactly like the
   // one-shot build.  Shard slices are contiguous and folded in shard
   // order, so each AS's bucket extends in stream order — the ordered-merge
-  // invariant, applied window by window.
+  // invariant, applied window by window.  The pool's chunk index addresses
+  // the shard's persistent memo slot, so each concurrent shard owns one
+  // slot and the hot loop stays lock-free.
   auto& pool = util::ThreadPool::shared();
   const std::size_t count = pending_.size();
-  std::size_t ways = threads == 0 ? pool.worker_count() : threads;
-  ways = std::min(std::max<std::size_t>(ways, 1), std::max<std::size_t>(count, 1));
-  // Mirrors parallel_map_reduce's chunking rule so `lo / chunk` recovers
-  // the shard index — each concurrent shard then owns one persistent memo
-  // slot and the hot loop stays lock-free.
-  const std::size_t chunk = count == 0 ? 1 : (count + ways - 1) / ways;
-  ensure_memo_slots(ways);
+  ensure_memo_slots(pool.chunk_count(count, threads));
   detail::ConditionCounters dropped;
   const std::span<const p2p::PeerSample> admitted{pending_};
   // Local references for the lambdas below: the thread-safety analysis
@@ -134,8 +130,7 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
   auto& touched = touched_;
   pool.parallel_map_reduce(
       0, count,
-      [&](std::size_t lo, std::size_t hi) {
-        const std::size_t shard = lo / chunk;
+      [&](std::size_t shard, std::size_t lo, std::size_t hi) {
         EYEBALL_DCHECK(shard < shard_memos.size(),
                        "shard index must address a persistent memo slot");
         auto& memos = shard_memos[shard];
@@ -146,7 +141,7 @@ void StreamingDatasetBuilder::ingest_locked(std::span<const p2p::PeerSample> win
         for (const auto& set : shard.by_as) touched.insert(net::value_of(set.asn));
         detail::merge_shard_ordered(std::move(shard), by_as, dropped);
       },
-      ways);
+      threads);
   dropped.add_to(stats_);
   stats_.windows.push_back(window_stats);
 }

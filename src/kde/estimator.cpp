@@ -8,7 +8,6 @@
 
 #include "kde/convolve.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace eyeball::kde {
 namespace {
@@ -30,17 +29,8 @@ std::vector<double> make_kernel(double sigma_cells, double truncate_sigmas) {
 
 /// Dense per-row kernel table: every distinct quantized kernel's taps live
 /// back-to-back in one arena and `row_kernels` maps a grid row to its
-/// (offset, tap-count) slice — no node-per-kernel allocations, no tree walk
-/// per row, and the parallel passes read one flat const structure.
-///
-/// Concurrency contract: build-then-freeze.  build_row_kernels() fills the
-/// arena on the calling thread; estimate() binds the result to a `const`
-/// local BEFORE any parallel_for, so worker lambdas can only ever see an
-/// immutable arena — the contract is enforced by the type system (no
-/// non-const access exists inside the parallel region), which is why this
-/// carries no capability annotation.  The mutable state of the passes
-/// lives in `scratch_storage` (estimate()'s intermediate buffer), which
-/// the workers share deliberately but write in disjoint row/column tiles.
+/// (offset, tap-count) slice — no node-per-kernel allocations and no tree
+/// walk per row: the horizontal pass reads one flat const structure.
 struct KernelArena {
   struct Slice {
     std::size_t offset = 0;
@@ -292,67 +282,35 @@ DensityGrid KernelDensityEstimator::estimate(std::span<const geo::GeoPoint> poin
   // Intermediate buffer between the two passes, reused across calls (the
   // horizontal pass writes every cell before the vertical pass reads any,
   // so stale contents are unobservable).  thread_local rather than a member
-  // keeps estimate() const and concurrent-caller-safe.  The named reference
-  // matters: lambdas do not capture thread_local variables, so without it
-  // each pool worker below would touch its own (empty) instance instead of
-  // the caller's buffer (kde_simd_test crashes without this).
-  thread_local std::vector<double> scratch_storage;
-  std::vector<double>& scratch = scratch_storage;
+  // keeps estimate() const and concurrent-caller-safe.
+  thread_local std::vector<double> scratch;
   if (scratch.size() < grid.values().size()) scratch.resize(grid.values().size());
 
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways =
-      config_.threads == 0 ? pool.worker_count() : config_.threads;
-
   // Horizontal pass: per-row kernel width (cells shrink toward the poles).
-  // The whole quantized kernel set is built up front into one flat arena so
-  // the parallel region only reads const data — no locking.
+  // The whole quantized kernel set is built up front into one flat arena.
   const KernelArena kernels =
       build_row_kernels(grid, config_.bandwidth_km, config_.truncate_sigmas);
-  pool.parallel_for(
-      0, rows,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          detail::convolve_row(grid.values().data() + r * cols,
-                               scratch.data() + r * cols, cols, kernels.taps_of(r),
-                               kernels.tap_count(r));
-        }
-      },
-      ways);
+  for (std::size_t r = 0; r < rows; ++r) {
+    detail::convolve_row(grid.values().data() + r * cols, scratch.data() + r * cols,
+                         cols, kernels.taps_of(r), kernels.tap_count(r));
+  }
 
   // Vertical pass: constant kernel width, tiled over column groups so every
-  // load is unit-stride (see convolve_columns_tile).  Tiles are disjoint and
-  // the chunk boundaries depend only on the tile count and `ways`, so the
-  // pass stays bit-identical at any thread count.
+  // load is unit-stride (see convolve_columns_tile).
   const auto vertical = make_kernel(
       config_.bandwidth_km / grid.cell_height_km(), config_.truncate_sigmas);
-  const std::size_t tiles =
-      (cols + detail::kConvolveTile - 1) / detail::kConvolveTile;
-  pool.parallel_for(
-      0, tiles,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t t = lo; t < hi; ++t) {
-          const std::size_t col = t * detail::kConvolveTile;
-          detail::convolve_columns_tile(
-              scratch.data(), grid.values().data(), rows, cols, col,
-              std::min(detail::kConvolveTile, cols - col), vertical.data(),
-              vertical.size());
-        }
-      },
-      ways);
+  for (std::size_t col = 0; col < cols; col += detail::kConvolveTile) {
+    detail::convolve_columns_tile(scratch.data(), grid.values().data(), rows, cols, col,
+                                  std::min(detail::kConvolveTile, cols - col),
+                                  vertical.data(), vertical.size());
+  }
 
   // Normalize: expected count per cell -> probability density per km^2.
-  pool.parallel_for(
-      0, rows,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          const double scale =
-              1.0 / (static_cast<double>(used) * grid.cell_area_km2(r));
-          double* row = grid.values().data() + r * cols;
-          for (std::size_t c = 0; c < cols; ++c) row[c] *= scale;
-        }
-      },
-      ways);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double scale = 1.0 / (static_cast<double>(used) * grid.cell_area_km2(r));
+    double* row = grid.values().data() + r * cols;
+    for (std::size_t c = 0; c < cols; ++c) row[c] *= scale;
+  }
   return grid;
 }
 
@@ -366,25 +324,17 @@ DensityGrid KernelDensityEstimator::estimate_exact(std::span<const geo::GeoPoint
   const double support = sigma * config_.truncate_sigmas;
   const double norm = 1.0 / (2.0 * std::numbers::pi * sigma * sigma *
                              static_cast<double>(points.size()));
-  auto& pool = util::ThreadPool::shared();
-  const std::size_t ways =
-      config_.threads == 0 ? pool.worker_count() : config_.threads;
-  pool.parallel_for(
-      0, grid.rows(),
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t r = lo; r < hi; ++r) {
-          for (std::size_t c = 0; c < grid.cols(); ++c) {
-            const geo::GeoPoint center = grid.center_of(r, c);
-            double acc = 0.0;
-            for (const auto& p : points) {
-              const double d = geo::approx_distance_km(center, p);
-              if (d <= support) acc += std::exp(-0.5 * (d / sigma) * (d / sigma));
-            }
-            grid.at(r, c) = acc * norm;
-          }
-        }
-      },
-      ways);
+  for (std::size_t r = 0; r < grid.rows(); ++r) {
+    for (std::size_t c = 0; c < grid.cols(); ++c) {
+      const geo::GeoPoint center = grid.center_of(r, c);
+      double acc = 0.0;
+      for (const auto& p : points) {
+        const double d = geo::approx_distance_km(center, p);
+        if (d <= support) acc += std::exp(-0.5 * (d / sigma) * (d / sigma));
+      }
+      grid.at(r, c) = acc * norm;
+    }
+  }
   return grid;
 }
 

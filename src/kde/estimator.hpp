@@ -31,11 +31,6 @@ struct KdeConfig {
   double truncate_sigmas = 4.0;
   /// Upper bound on grid cells; the grid coarsens itself beyond this.
   std::size_t max_cells = 8000000;
-  /// Convolution-pass concurrency: rows/columns are split into contiguous
-  /// chunks executed on util::ThreadPool::shared().  1 = serial, 0 = one
-  /// chunk per hardware thread.  Results are bit-identical across settings
-  /// (each row/column keeps its serial reduction order).
-  std::size_t threads = 1;
 };
 
 class KernelDensityEstimator {

@@ -2,11 +2,26 @@
 
 #include <algorithm>
 #include <exception>
+#include <functional>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace eyeball::serve {
+namespace {
+
+/// One supervised-durability step of publish(): runs `write` under the
+/// retry policy, keeps its per-attempt history (whose final Status is the
+/// step's verdict) in `history`, and folds a final failure into
+/// `durability` — a later step's failure replaces an earlier one's.
+void supervise_durable_write(const util::RetryPolicy& policy,
+                             const std::function<util::Status()>& write,
+                             util::RetryResult& history, util::Status& durability) {
+  history = policy.run(write);
+  if (!history.ok()) durability = history.status;
+}
+
+}  // namespace
 
 std::string_view to_string(ServiceHealth health) noexcept {
   switch (health) {
@@ -126,23 +141,22 @@ std::shared_ptr<const ServingSnapshot> EyeballService::publish() {
   if (!config_.snapshot_dir.empty()) {
     core::StreamingDatasetBuilder& builder = builder_;
     const std::string dir = config_.snapshot_dir;
-    last_save_retry_ = policy.run(
-        [&builder, &fs, &dir] { return builder.save_snapshot(dir, fs, nullptr); });
-    last_save_status_ = last_save_retry_.status;
-    if (!last_save_status_.ok()) durability = last_save_status_;
+    supervise_durable_write(
+        policy, [&builder, &fs, &dir] { return builder.save_snapshot(dir, fs, nullptr); },
+        last_save_retry_, durability);
   }
   if (!config_.artifact_path.empty()) {
     const std::string path = config_.artifact_path;
     const std::uint64_t fingerprint =
         core::SnapshotCodec::config_fingerprint(pipeline_.config().dataset);
     const ServingSnapshot& epoch = *next;
-    last_artifact_retry_ = policy.run([&fs, &path, &epoch, fingerprint] {
-      return core::ArtifactCodec::write(fs, path, epoch.dataset(),
-                                        epoch.analyses(), epoch.epoch(),
-                                        fingerprint);
-    });
-    last_artifact_status_ = last_artifact_retry_.status;
-    if (!last_artifact_status_.ok()) durability = last_artifact_status_;
+    supervise_durable_write(
+        policy,
+        [&fs, &path, &epoch, fingerprint] {
+          return core::ArtifactCodec::write(fs, path, epoch.dataset(), epoch.analyses(),
+                                            epoch.epoch(), fingerprint);
+        },
+        last_artifact_retry_, durability);
   }
   health_.transition(durability.ok() ? ServiceHealth::kHealthy
                                      : ServiceHealth::kDegradedDurability,

@@ -373,14 +373,14 @@ class EyeballService {
   /// empty or the last save succeeded.  Writer-thread only.
   [[nodiscard]] const util::Status& last_save_status() const noexcept {
     const util::SerialSection writer{writer_serial_};
-    return last_save_status_;
+    return last_save_retry_.status;
   }
 
   /// Outcome of the most recent artifact emission; OK when artifact_path is
   /// empty or the last write succeeded.  Writer-thread only.
   [[nodiscard]] const util::Status& last_artifact_status() const noexcept {
     const util::SerialSection writer{writer_serial_};
-    return last_artifact_status_;
+    return last_artifact_retry_.status;
   }
 
   /// Outcome of the most recent publish(): OK, or the typed kInternal
@@ -472,8 +472,6 @@ class EyeballService {
   const core::EyeballPipeline& pipeline_;
   ServiceConfig config_ EYEBALL_GUARDED_BY(writer_serial_);
   core::StreamingDatasetBuilder builder_ EYEBALL_GUARDED_BY(writer_serial_);
-  util::Status last_save_status_ EYEBALL_GUARDED_BY(writer_serial_);
-  util::Status last_artifact_status_ EYEBALL_GUARDED_BY(writer_serial_);
   util::Status last_publish_status_ EYEBALL_GUARDED_BY(writer_serial_);
   util::RetryResult last_save_retry_ EYEBALL_GUARDED_BY(writer_serial_);
   util::RetryResult last_artifact_retry_ EYEBALL_GUARDED_BY(writer_serial_);

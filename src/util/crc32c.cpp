@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <cstddef>
 
-// crc32c_fast: the bulk-checksum path.  One implementation per mechanism,
+// crc32c: the one checksum entry point.  One implementation per mechanism,
 // selected once per process:
 //
 //   - SSE4.2 `crc32` instruction (x86-64 with the feature bit set —
@@ -15,7 +15,7 @@
 //     the three partial CRCs are recombined exactly (see below).  That
 //     pushes the artifact open path to the machine's memory bandwidth
 //     rather than the instruction's latency.
-//   - The portable table fallback from the header.
+//   - The portable table loop from the header (detail::crc32c_table).
 //
 // Recombination: the CRC register update is GF(2)-linear, so processing a
 // block B from register r satisfies f(r, B) = f(0, B) ^ Z^|B|(r), where Z
@@ -23,8 +23,8 @@
 // lane results combine as Z^(|B|+|C|)(a) ^ Z^|C|(b) ^ c.  Z's matrix
 // powers Z^(2^k) are built at compile time from the same constexpr table
 // the portable implementation uses — no magic constants to drift, and the
-// equality crc32c_fast == crc32c over arbitrary splits is pinned by
-// file_test.
+// equality crc32c == detail::crc32c_table over arbitrary inputs is pinned
+// by file_test.
 //
 // The intrinsics are spelled as GCC/Clang builtins under a function-level
 // `target("sse4.2")` attribute rather than compiling the whole TU with
@@ -160,15 +160,14 @@ std::uint32_t crc32c_sse42(std::span<const std::byte> data,
 
 }  // namespace
 
-std::uint32_t crc32c_fast(std::span<const std::byte> data,
-                          std::uint32_t seed) noexcept {
+std::uint32_t crc32c(std::span<const std::byte> data, std::uint32_t seed) noexcept {
 #if defined(EYEBALL_CRC32C_HW)
   // Dispatch decided once; the static init is thread-safe and the branch
   // predicts perfectly afterwards.
   static const bool use_hw = host_has_sse42();
   if (use_hw) return crc32c_sse42(data, seed);
 #endif
-  return crc32c(data, seed);
+  return detail::crc32c_table(data, seed);
 }
 
 }  // namespace eyeball::util

@@ -61,42 +61,64 @@ void ThreadPool::worker_loop() {
 
 bool ThreadPool::on_worker_thread() noexcept { return t_on_worker; }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t, std::size_t)>& body,
-                              std::size_t max_concurrency) {
-  if (begin >= end) return;
-  const std::size_t count = end - begin;
+std::size_t ThreadPool::chunk_length(std::size_t count,
+                                     std::size_t max_concurrency) const noexcept {
   // The chunk count honors the *requested* concurrency, clamped only by the
   // range — not by the pool size — so chunk boundaries (and anything that
   // merges per-chunk state in order) are machine-independent.  Requesting
   // more chunks than workers just queues them.
-  std::size_t ways = max_concurrency == 0 ? worker_count() : max_concurrency;
-  ways = std::min(ways, count);
-  if (ways <= 1 || on_worker_thread()) {
-    body(begin, end);
+  const std::size_t ways =
+      std::min(max_concurrency == 0 ? worker_count() : max_concurrency, count);
+  if (ways <= 1 || on_worker_thread()) return count;
+  return (count + ways - 1) / ways;
+}
+
+std::size_t ThreadPool::chunk_count(std::size_t count,
+                                    std::size_t max_concurrency) const noexcept {
+  const std::size_t length = chunk_length(count, max_concurrency);
+  return length == 0 ? 0 : (count + length - 1) / length;
+}
+
+void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
+                              const std::function<void(std::size_t, std::size_t)>& body,
+                              std::size_t max_concurrency) {
+  dispatch(
+      begin, end, max_concurrency,
+      [&body](std::size_t, std::size_t lo, std::size_t hi) { body(lo, hi); }, nullptr);
+}
+
+void ThreadPool::dispatch(
+    std::size_t begin, std::size_t end, std::size_t max_concurrency,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& run,
+    const std::function<void(std::size_t)>& collect) {
+  if (begin >= end) return;
+  const std::size_t count = end - begin;
+  const std::size_t length = chunk_length(count, max_concurrency);
+  if (length == count) {
+    run(0, begin, end);
+    if (collect) collect(0);
     return;
   }
 
-  const std::size_t chunk = (count + ways - 1) / ways;
-  EYEBALL_DCHECK(chunk > 0, "parallel_for chunking degenerated to empty chunks");
   std::vector<std::future<void>> futures;
-  futures.reserve(ways);
-  [[maybe_unused]] std::size_t previous_hi = begin;
-  for (std::size_t w = 0; w < ways; ++w) {
-    const std::size_t lo = begin + w * chunk;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk);
-    EYEBALL_DCHECK(lo == previous_hi && lo < hi && hi <= end,
-                   "chunks must tile the range contiguously and in order");
-    previous_hi = hi;
-    futures.push_back(submit([&body, lo, hi] { body(lo, hi); }));
-  }
-  EYEBALL_DCHECK(previous_hi == end, "chunks must cover the whole range");
-
+  futures.reserve(chunk_count(count, max_concurrency));
   std::exception_ptr first_error;
-  for (auto& future : futures) {
+  try {
+    for (std::size_t lo = begin; lo < end; lo += length) {
+      const std::size_t chunk = futures.size();
+      const std::size_t hi = std::min(end, lo + length);
+      futures.push_back(submit([&run, chunk, lo, hi] { run(chunk, lo, hi); }));
+    }
+  } catch (...) {
+    // submit failed partway (bad_alloc): fall through and drain the chunks
+    // already queued — they still reference `run` and its captures.
+    first_error = std::current_exception();
+  }
+
+  for (std::size_t chunk = 0; chunk < futures.size(); ++chunk) {
     try {
-      future.get();
+      futures[chunk].get();
+      if (collect && !first_error) collect(chunk);
     } catch (...) {
       if (!first_error) first_error = std::current_exception();
     }

@@ -172,29 +172,6 @@ std::vector<geo::GeoPoint> random_cloud(std::uint64_t seed, std::size_t count) {
   return points;
 }
 
-TEST(KdeSimd, EstimateByteIdenticalAcrossThreadCounts) {
-  KdeConfig config;
-  config.bandwidth_km = 25.0;
-  config.cell_km = 5.0;
-  for (std::uint64_t seed : {11u, 12u, 13u}) {
-    const auto points = random_cloud(seed, 600);
-    config.threads = 1;
-    const KernelDensityEstimator serial{config};
-    // A tight box (no kernel padding): edge cells clip real kernel mass.
-    const auto box = geo::BoundingBox::around(points);
-    const auto reference = serial.estimate(points, box);
-    for (const std::size_t threads : {2u, 3u, 0u}) {
-      config.threads = threads;
-      const auto parallel = KernelDensityEstimator{config}.estimate(points, box);
-      ASSERT_EQ(parallel.rows(), reference.rows());
-      ASSERT_EQ(parallel.cols(), reference.cols());
-      // Bytes, not approximately: the convolutions never reassociate.
-      EXPECT_TRUE(parallel.values() == reference.values())
-          << "seed " << seed << " threads " << threads;
-    }
-  }
-}
-
 TEST(KdeSimd, EstimateIsDeterministicAcrossRepeatedCalls) {
   const auto points = random_cloud(99, 400);
   KdeConfig config;

@@ -22,6 +22,7 @@
 #include "p2p/churn.hpp"
 #include "pipeline_fixture.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace eyeball {
 namespace {
@@ -121,6 +122,26 @@ TEST(StreamingDataset, PerWindowIngestMatchesOneShotAcrossThreadCounts) {
         w.reference, streaming.finalize(threads),
         ("per-window ingest, threads=" + std::to_string(threads)).c_str());
   }
+}
+
+TEST(StreamingDataset, IngestFromPoolWorkerMatchesTopLevelIngest) {
+  const auto& w = stream_world();
+  auto& pool = util::ThreadPool::shared();
+  auto top_level = w.streaming();
+  for (const auto& window : w.churn.windows) top_level.ingest(window, 0);
+
+  // From inside a pool worker every fan-out runs inline as one shard (and
+  // one memo slot); the conditioned state must not notice.
+  auto nested = w.streaming();
+  pool.submit([&] {
+        ASSERT_TRUE(util::ThreadPool::on_worker_thread());
+        ASSERT_EQ(pool.chunk_count(w.churn.windows.front().size(), 0), 1u);
+        for (const auto& window : w.churn.windows) nested.ingest(window, 0);
+      })
+      .get();
+  expect_same_dataset(top_level.finalize(2), nested.finalize(2),
+                      "ingest from a pool worker");
+  expect_same_dataset(w.reference, nested.finalize(1), "ingest from a pool worker");
 }
 
 TEST(StreamingDataset, RandomBatchSplitsMatchOneShot) {

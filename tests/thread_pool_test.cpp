@@ -1,5 +1,5 @@
 // util::ThreadPool unit tests plus the determinism contract of the parallel
-// execution engine: the KDE convolution passes and the pipeline's per-AS
+// execution engine: the sharded dataset build and the pipeline's per-AS
 // fan-out must produce bit-identical results at any thread count.
 #include <gtest/gtest.h>
 
@@ -10,10 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/multi_bandwidth.hpp"
-#include "kde/estimator.hpp"
 #include "pipeline_fixture.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace eyeball {
@@ -100,7 +97,7 @@ TEST(ThreadPool, ChunkCountIndependentOfPoolSize) {
   std::vector<std::pair<std::size_t, std::size_t>> seen;
   pool.parallel_map_reduce(
       0, 1000,
-      [](std::size_t lo, std::size_t hi) { return std::make_pair(lo, hi); },
+      [](std::size_t, std::size_t lo, std::size_t hi) { return std::make_pair(lo, hi); },
       [&](std::pair<std::size_t, std::size_t> bounds) { seen.push_back(bounds); },
       4);
   ASSERT_EQ(seen.size(), 4u);
@@ -135,7 +132,7 @@ TEST(ThreadPool, MapReduceSumMatchesSerial) {
   long long total = 0;
   pool.parallel_map_reduce(
       0, kCount,
-      [](std::size_t lo, std::size_t hi) {
+      [](std::size_t, std::size_t lo, std::size_t hi) {
         long long sum = 0;
         for (std::size_t i = lo; i < hi; ++i) sum += static_cast<long long>(i);
         return sum;
@@ -152,7 +149,7 @@ TEST(ThreadPool, MapReduceReducesInChunkOrder) {
   std::vector<std::pair<std::size_t, std::size_t>> seen;
   pool.parallel_map_reduce(
       5, 505,
-      [](std::size_t lo, std::size_t hi) { return std::make_pair(lo, hi); },
+      [](std::size_t, std::size_t lo, std::size_t hi) { return std::make_pair(lo, hi); },
       [&](std::pair<std::size_t, std::size_t> bounds) { seen.push_back(bounds); });
   ASSERT_FALSE(seen.empty());
   EXPECT_EQ(seen.front().first, 5u);
@@ -166,11 +163,12 @@ TEST(ThreadPool, MapReduceEmptyRangeAndConcurrencyOne) {
   util::ThreadPool pool{4};
   int reduces = 0;
   pool.parallel_map_reduce(
-      3, 3, [](std::size_t, std::size_t) { return 0; }, [&](int) { ++reduces; });
+      3, 3, [](std::size_t, std::size_t, std::size_t) { return 0; },
+      [&](int) { ++reduces; });
   EXPECT_EQ(reduces, 0);
   // max_concurrency 1 runs inline as a single chunk.
   pool.parallel_map_reduce(
-      0, 100, [](std::size_t lo, std::size_t hi) { return hi - lo; },
+      0, 100, [](std::size_t, std::size_t lo, std::size_t hi) { return hi - lo; },
       [&](std::size_t n) {
         EXPECT_EQ(n, 100u);
         ++reduces;
@@ -179,63 +177,37 @@ TEST(ThreadPool, MapReduceEmptyRangeAndConcurrencyOne) {
   EXPECT_EQ(reduces, 1);
 }
 
+TEST(ThreadPool, MapReceivesItsChunkIndex) {
+  util::ThreadPool pool{2};
+  // Per-chunk state (the streaming builder's memo slots) is addressed by
+  // this index: chunks count left to right, one per chunk_count().
+  for (const std::size_t ways : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
+    std::vector<std::size_t> chunks;
+    pool.parallel_map_reduce(
+        0, 9, [](std::size_t chunk, std::size_t, std::size_t) { return chunk; },
+        [&](std::size_t chunk) { chunks.push_back(chunk); }, ways);
+    ASSERT_EQ(chunks.size(), pool.chunk_count(9, ways)) << "ways " << ways;
+    for (std::size_t i = 0; i < chunks.size(); ++i) EXPECT_EQ(chunks[i], i);
+  }
+  EXPECT_EQ(pool.chunk_count(9, 4), 3u);  // chunks of 3: the fourth is empty
+  EXPECT_EQ(pool.chunk_count(2, 8), 2u);
+  EXPECT_EQ(pool.chunk_count(0, 4), 0u);
+  EXPECT_EQ(pool.chunk_count(100, 0), 2u);  // 0 = one chunk per worker
+  // On a worker every fan-out is one inline chunk.
+  EXPECT_EQ(pool.submit([&pool] { return pool.chunk_count(100, 4); }).get(), 1u);
+}
+
 TEST(ThreadPool, MapReducePropagatesMapException) {
   util::ThreadPool pool{4};
   EXPECT_THROW(
       pool.parallel_map_reduce(
           0, 100,
-          [](std::size_t lo, std::size_t) -> int {
+          [](std::size_t, std::size_t lo, std::size_t) -> int {
             if (lo == 0) throw std::invalid_argument{"chunk 0"};
             return 0;
           },
           [](int) {}),
       std::invalid_argument);
-}
-
-std::vector<geo::GeoPoint> scattered_points(std::size_t count, std::uint64_t seed) {
-  util::Rng rng{seed};
-  std::vector<geo::GeoPoint> points;
-  points.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    points.push_back({rng.uniform(38.0, 46.0), rng.uniform(7.0, 18.0)});
-  }
-  return points;
-}
-
-TEST(ParallelKde, BinnedEstimateBitIdenticalAcrossThreadCounts) {
-  const auto points = scattered_points(20000, 11);
-  kde::KdeConfig serial_config;
-  serial_config.bandwidth_km = 40.0;
-  serial_config.cell_km = 5.0;
-  serial_config.threads = 1;
-  const kde::KernelDensityEstimator serial{serial_config};
-  const auto box = serial.padded_box(points);
-  const auto reference = serial.estimate(points, box);
-
-  for (const std::size_t threads : {2u, 4u, 0u}) {
-    kde::KdeConfig config = serial_config;
-    config.threads = threads;
-    const kde::KernelDensityEstimator estimator{config};
-    const auto grid = estimator.estimate(points, box);
-    ASSERT_EQ(grid.values().size(), reference.values().size());
-    EXPECT_EQ(grid.values(), reference.values()) << "threads=" << threads;
-  }
-}
-
-TEST(ParallelKde, ExactEstimateBitIdenticalAcrossThreadCounts) {
-  const auto points = scattered_points(300, 12);
-  kde::KdeConfig serial_config;
-  serial_config.bandwidth_km = 40.0;
-  serial_config.cell_km = 20.0;
-  serial_config.threads = 1;
-  const kde::KernelDensityEstimator serial{serial_config};
-  const auto box = serial.padded_box(points);
-  const auto reference = serial.estimate_exact(points, box);
-
-  kde::KdeConfig parallel_config = serial_config;
-  parallel_config.threads = 4;
-  const kde::KernelDensityEstimator parallel{parallel_config};
-  EXPECT_EQ(parallel.estimate_exact(points, box).values(), reference.values());
 }
 
 bool same_analysis(const core::AsAnalysis& a, const core::AsAnalysis& b) {
@@ -336,33 +308,6 @@ TEST(ParallelDataset, LookupMemoInvisibleToResults) {
   const core::DatasetBuilder builder{fixture.primary, fixture.secondary,
                                      fixture.mapper, no_memo};
   expect_same_dataset(fixture.dataset, builder.build(fixture.crawl.samples, 4), 4);
-}
-
-TEST(ParallelPipeline, MultiBandwidthRefineMatchesSerial) {
-  const auto& fixture = testing::shared_fixture();
-  const auto ases = fixture.dataset.ases();
-  ASSERT_FALSE(ases.empty());
-  const core::GeoFootprintEstimator estimator{fixture.pipeline.config().footprint};
-
-  core::MultiBandwidthConfig serial_config;
-  serial_config.threads = 1;
-  core::MultiBandwidthConfig parallel_config;
-  parallel_config.threads = 2;
-  const core::MultiBandwidthRefiner serial{fixture.gaz, estimator, serial_config};
-  const core::MultiBandwidthRefiner parallel{fixture.gaz, estimator, parallel_config};
-
-  const auto& as = ases.front();
-  const auto a = serial.refine(as);
-  const auto b = parallel.refine(as);
-  EXPECT_EQ(a.splits, b.splits);
-  ASSERT_EQ(a.pops.pops.size(), b.pops.pops.size());
-  EXPECT_EQ(a.pops.unmapped_peaks, b.pops.unmapped_peaks);
-  for (std::size_t i = 0; i < a.pops.pops.size(); ++i) {
-    EXPECT_EQ(a.pops.pops[i].city, b.pops.pops[i].city);
-    EXPECT_EQ(a.pops.pops[i].score, b.pops.pops[i].score);
-    EXPECT_EQ(a.pops.pops[i].peak_density, b.pops.pops[i].peak_density);
-    EXPECT_EQ(a.pops.pops[i].peak_location, b.pops.pops[i].peak_location);
-  }
 }
 
 }  // namespace

@@ -30,7 +30,7 @@ STAGES=(
   "lint|tools/eyeball_lint.py self-test + repo scan, BENCH_*.json schema check, bench_diff self-test"
   "strict|EYEBALL_STRICT=ON (-Wconversion -Wdouble-promotion -Werror) build"
   "bench-smoke|each bm_* binary runs one cheap benchmark (bit-rot guard; a missing or failing binary is a hard stage failure)"
-  "perfbench-smoke|perfbench builds against the library and runs durable_restart for 1 s under its oracle (both durable formats round-trip)"
+  "perfbench-smoke|perfbench builds against the library and runs durable_restart (both durable formats round-trip) and stream_publish (six ingest → finalize → refresh cycles) for 1 s each under their oracles"
   "format|clang-format --dry-run --Werror via the format-check target [skipped when clang-format is absent]"
 )
 
@@ -247,10 +247,15 @@ bench_smoke_stage() {
 # perfbench/ builds its own Release tree of the library on first use, so a
 # library signature change that breaks it would otherwise go unnoticed until
 # the next benchmark run.  durable_restart publishes with a snapshot and an
-# artifact and restores from both under the benchmark's oracle; a nonzero
-# exit (build failure, oracle mismatch, failed operations) fails the stage.
+# artifact and restores from both; stream_publish runs all six incremental
+# ingest → finalize → refresh cycles, so the writer's three pool fan-outs
+# (conditioning shards, finalize filter, per-AS analysis) run end to end.
+# Both run under the benchmark's oracle; a nonzero exit (build failure,
+# oracle mismatch, failed operations) fails the stage.
 perfbench_smoke_stage() {
   python3 "${ROOT}/perfbench/run.py" --workload durable_restart --seed 1 \
+    --seconds 1 --trace 0 || return 1
+  python3 "${ROOT}/perfbench/run.py" --workload stream_publish --seed 1 \
     --seconds 1 --trace 0
 }
 

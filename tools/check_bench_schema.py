@@ -6,6 +6,12 @@ Two schemas are in play:
   BENCH_dataset.json   google-benchmark --benchmark_out format: a "context"
                        object and a non-empty "benchmarks" array whose
                        entries carry "name" and a numeric "real_time".
+                       Every row of a threaded family (THREADED_FAMILIES,
+                       or any family named "...Threads") must be timed in
+                       wall clock: UseRealTime() appends "/real_time" to
+                       its name.  Without it google-benchmark reports the
+                       main thread's CPU time, which falls as workers take
+                       the load and reads as a speedup that never happened.
 
   BENCH_serving.json   the bm_serving custom driver's format: a "context"
                        object (readers/windows/epochs_published) and a
@@ -32,6 +38,24 @@ import argparse
 import json
 import pathlib
 import sys
+
+
+# Benchmark families whose body fans out onto the thread pool.
+THREADED_FAMILIES = frozenset(
+    {
+        "BM_DatasetBuildThreads",
+        "BM_DatasetBuildNoMemo",
+        "BM_StreamingIngestLastWindow",
+        "BM_LongitudinalStreamingTotal",
+        "BM_LongitudinalRebuildTotal",
+        "BM_PipelineAnalyzeAllThreads",
+    }
+)
+
+
+def is_threaded(name: str) -> bool:
+    family = name.split("/", 1)[0]
+    return family in THREADED_FAMILIES or family.endswith("Threads")
 
 
 def fail(path: pathlib.Path, message: str) -> str:
@@ -86,6 +110,14 @@ def check_dataset(path: pathlib.Path) -> list[str]:
         names.add(name)
         if not isinstance(entry.get("real_time"), (int, float)):
             errors.append(fail(path, f"{name}: missing numeric 'real_time'"))
+        if is_threaded(name) and not name.endswith("/real_time"):
+            errors.append(
+                fail(
+                    path,
+                    f"{name}: threaded row not timed in wall clock — add "
+                    "UseRealTime() so its name ends in '/real_time'",
+                )
+            )
     # The serving-artifact rows are load-bearing (the open-latency acceptance
     # number lives in this baseline), and check_common already pinned the
     # whole file to an optimized build via the eyeball_build_type stamp — so
